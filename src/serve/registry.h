@@ -69,6 +69,11 @@ class ProgramRegistry {
   /// copy of `base_schema`, analyzes it, and — if clean — publishes it as
   /// the dataset's next version. Returns the new version number.
   ///
+  /// The new version is live (returned by Get and pinned by new requests)
+  /// before this call returns, so a caller's copy of the returned number can
+  /// lag the version that concurrent requests report; an observer of the
+  /// live version reads Get instead.
+  ///
   /// Minimized programs (text carrying the `# guardrail-minimized` marker,
   /// see analysis/semantic.h) are additionally gated on their equivalence
   /// certificate: `certificate_text` must hold a certificate that

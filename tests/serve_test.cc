@@ -726,7 +726,10 @@ TEST(EngineTest, InjectedFaultsAreIsolatedPerRequest) {
 // Validation requests race a loader republishing new versions. TSan (the CI
 // thread-sanitizer job runs this test) must see no torn reads, and every
 // response must report a version that was live at some point during the
-// request: >= the version observed before the call, <= the one after.
+// request: >= the registry's live version read before the call, <= the one
+// read after. Both bounds come from ProgramRegistry::Get: a version is live
+// before LoadFromText returns, so the loader's copy of the returned number
+// can lag what requests report.
 TEST(ServeConcurrencyTest, HotReloadDoesNotTearInFlightRequests) {
   ProgramRegistry registry;
   LoadDemo(&registry);
@@ -734,16 +737,19 @@ TEST(ServeConcurrencyTest, HotReloadDoesNotTearInFlightRequests) {
   Schema base = DemoSchema();
 
   std::atomic<bool> stop{false};
-  std::atomic<uint64_t> published{1};
 
   std::thread loader([&] {
+    // Release the workers on every exit path, a failed ASSERT_TRUE included,
+    // so a failed publish fails the test instead of hanging it.
+    struct StopOnExit {
+      std::atomic<bool>* stop;
+      ~StopOnExit() { stop->store(true, std::memory_order_release); }
+    } stop_on_exit{&stop};
     for (int i = 0; i < 50; ++i) {
       auto version = registry.LoadFromText("demo", kProgramText, base);
       ASSERT_TRUE(version.ok());
-      published.store(*version, std::memory_order_release);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    stop.store(true, std::memory_order_release);
   });
 
   const std::string batch =
@@ -752,10 +758,10 @@ TEST(ServeConcurrencyTest, HotReloadDoesNotTearInFlightRequests) {
   for (int w = 0; w < 4; ++w) {
     workers.emplace_back([&] {
       while (!stop.load(std::memory_order_acquire)) {
-        uint64_t before = published.load(std::memory_order_acquire);
+        uint64_t before = registry.Get("demo")->version;
         ValidateResponse response =
             engine.Handle(DemoRequest(batch, core::ErrorPolicy::kRectify));
-        uint64_t after = published.load(std::memory_order_acquire);
+        uint64_t after = registry.Get("demo")->version;
         ASSERT_EQ(response.code, StatusCode::kOk) << response.error;
         EXPECT_GE(response.program_version, before);
         EXPECT_LE(response.program_version, after);
